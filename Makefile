@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check build test vet race api-surface api-surface-update bench bench-pr6 bench-pr7 bench-pr8 bench-pr9 bench-pr10 bench-gate bench-sweep serve-smoke cluster-smoke job-smoke obs-smoke chaos trace profile
+.PHONY: check build test vet race api-surface api-surface-update bench bench-pr6 bench-pr7 bench-pr8 bench-pr9 bench-pr10 bench-gate bench-sweep serve-smoke cluster-smoke job-smoke obs-smoke chaos trace profile fuzz
 
 check: vet build race api-surface bench-gate
 
@@ -74,6 +74,16 @@ chaos:
 	$(GO) test -race -run 'Chaos|Fault|Retry|Stuck|Readiness|MaxBody|Drain|Backoff|Transient|RetryAfter|Exhausted' \
 		./internal/fault/ ./internal/sweep/ ./internal/serve/ \
 		./internal/client/ ./internal/rram/ ./internal/train/ .
+
+# Coverage-guided fuzzing, one target at a time (go test -fuzz accepts
+# a single target per run): the /v1/simulate request path and the two
+# fixed-point invariants. New failing inputs land in the package's
+# testdata/fuzz/ directory and replay in every later `go test`.
+FUZZTIME ?= 60s
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzSimulateRequest$$' -fuzztime $(FUZZTIME) ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzQuantizerRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/fixed/
+	$(GO) test -run '^$$' -fuzz '^FuzzBitSerialDot$$' -fuzztime $(FUZZTIME) ./internal/fixed/
 
 # Observability suite under the race detector: the obs tracer itself,
 # the traced sim/sweep/serve paths (deterministic step clocks pin every

@@ -96,7 +96,8 @@ type Report = sim.Report
 type Area = metrics.Area
 
 // Model returns a zoo network by name: VGG16, VGG19, ResNet18, ResNet50,
-// MobileNetV2, MNasNet, VGG16-CIFAR, ResNet18-CIFAR, LeNet5.
+// MobileNetV2, MNasNet, VGG16-CIFAR, ResNet18-CIFAR, LeNet5, AlexNet.
+// The caller owns the returned network and may modify it.
 func Model(name string) (*Network, error) { return nn.ByName(name) }
 
 // Models returns the six ImageNet networks of the paper's evaluation.

@@ -7,8 +7,7 @@ import (
 )
 
 func TestAllZooNetworksValidate(t *testing.T) {
-	nets := append(PaperModels(), VGG16CIFAR(), ResNet18CIFAR(), LeNet5())
-	for _, n := range nets {
+	for _, n := range Zoo() {
 		if err := n.Validate(); err != nil {
 			t.Errorf("%s: %v", n.Name, err)
 		}

@@ -1,6 +1,9 @@
 package nn
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // builder threads the running feature-map shape through layer construction.
 type builder struct {
@@ -367,12 +370,49 @@ func LightModels() []*Network {
 	return []*Network{MobileNetV2(), MNasNet()}
 }
 
-// ByName looks up a zoo network by case-sensitive name.
+// zoo lists every network ByName knows, in the order Zoo returns them:
+// the paper's six ImageNet networks, then the CIFAR adaptations and the
+// two extras.
+var zoo = []func() *Network{
+	VGG16, VGG19, ResNet18, ResNet50, MobileNetV2, MNasNet,
+	VGG16CIFAR, ResNet18CIFAR, LeNet5, AlexNet,
+}
+
+// built is the zoo, constructed on first use. Its networks are shared
+// by every caller, so they are never handed out: lookups return copies.
+var built = sync.OnceValue(func() []*Network {
+	nets := make([]*Network, len(zoo))
+	for i, build := range zoo {
+		nets[i] = build()
+	}
+	return nets
+})
+
+// clone returns a copy of n with its own Layers slice. Layer holds only
+// value fields, so the copy shares no memory with n.
+func (n *Network) clone() *Network {
+	c := *n
+	c.Layers = append([]Layer(nil), n.Layers...)
+	return &c
+}
+
+// Zoo returns every network ByName knows, in a fixed order. Each is a
+// copy the caller owns.
+func Zoo() []*Network {
+	all := built()
+	nets := make([]*Network, len(all))
+	for i, n := range all {
+		nets[i] = n.clone()
+	}
+	return nets
+}
+
+// ByName looks up a zoo network by case-sensitive name. The zoo is built
+// once; each call returns a copy the caller owns and may modify.
 func ByName(name string) (*Network, error) {
-	all := append(PaperModels(), VGG16CIFAR(), ResNet18CIFAR(), LeNet5(), AlexNet())
-	for _, n := range all {
+	for _, n := range built() {
 		if n.Name == name {
-			return n, nil
+			return n.clone(), nil
 		}
 	}
 	return nil, fmt.Errorf("nn: unknown network %q", name)
