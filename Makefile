@@ -76,14 +76,16 @@ chaos:
 		./internal/client/ ./internal/rram/ ./internal/train/ .
 
 # Coverage-guided fuzzing, one target at a time (go test -fuzz accepts
-# a single target per run): the /v1/simulate request path and the two
-# fixed-point invariants. New failing inputs land in the package's
+# a single target per run): the /v1/simulate request path, the two
+# fixed-point invariants, and the convolution kernels against their
+# pre-rewrite references. New failing inputs land in the package's
 # testdata/fuzz/ directory and replay in every later `go test`.
 FUZZTIME ?= 60s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSimulateRequest$$' -fuzztime $(FUZZTIME) ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzQuantizerRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/fixed/
 	$(GO) test -run '^$$' -fuzz '^FuzzBitSerialDot$$' -fuzztime $(FUZZTIME) ./internal/fixed/
+	$(GO) test -run '^$$' -fuzz '^FuzzConvKernels$$' -fuzztime $(FUZZTIME) ./internal/tensor/
 
 # Observability suite under the race detector: the obs tracer itself,
 # the traced sim/sweep/serve paths (deterministic step clocks pin every

@@ -127,11 +127,11 @@ func (m *Machine) TrainStepBatch(net *train.Network, xs []*tensor.Tensor, labels
 // dilated, padded error maps occupy the planes of one stack and the
 // rotated transposed kernels stream once for the whole batch.
 func (m *Machine) backInputBatch(w *tensor.Tensor, deltas []*tensor.Tensor, spec tensor.ConvSpec, inH, inW int) []*tensor.Tensor {
-	kh := w.Dim(2)
+	kh, kw := w.Dim(2), w.Dim(3)
 	wt := tensor.Rot180(w)
 	padded := make([]*tensor.Tensor, len(deltas))
 	for p := range deltas {
-		padded[p] = tensor.Pad(tensor.Dilate(deltas[p], spec.Stride), kh-1)
+		padded[p] = tensor.PadHW(tensor.Dilate(deltas[p], spec.Stride), kh-1, kw-1)
 	}
 	outs, stats := core.FunctionalConv2D(padded, wt,
 		core.FuncOptions{Stride: 1, Noise: m.opt.ActNoise})

@@ -319,10 +319,10 @@ func (m *Machine) gradOnArrays(x, delta *tensor.Tensor, spec tensor.ConvSpec, kh
 // dilated, padded error with the 180°-rotated transposed kernels on the
 // planes — the errors having overwritten the activation cells.
 func (m *Machine) backInputOnArrays(w, delta *tensor.Tensor, spec tensor.ConvSpec, inH, inW int) *tensor.Tensor {
-	kh := w.Dim(2)
+	kh, kw := w.Dim(2), w.Dim(3)
 	wt := tensor.Rot180(w) // [C, N, KH, KW]
 	d := tensor.Dilate(delta, spec.Stride)
-	padded := tensor.Pad(d, kh-1)
+	padded := tensor.PadHW(d, kh-1, kw-1)
 	outs, stats := core.FunctionalConv2D([]*tensor.Tensor{padded}, wt,
 		core.FuncOptions{Stride: 1, Noise: m.opt.ActNoise})
 	m.stats = m.stats.Plus(stats)

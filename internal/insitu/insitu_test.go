@@ -177,3 +177,34 @@ func TestStridedConvGradientsMatch(t *testing.T) {
 		t.Fatal("strided conv weights diverged after one in-situ step")
 	}
 }
+
+// TestNonSquareBackInputMatchesSoftware checks that the on-array error
+// propagation, per image and batched, pads the error map by kh-1 rows and
+// kw-1 columns, so a non-square kernel gets the same input gradient as
+// the software kernel in the ideal case.
+func TestNonSquareBackInputMatchesSoftware(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for _, tc := range []struct {
+		kh, kw int
+		spec   tensor.ConvSpec
+	}{
+		{1, 4, tensor.ConvSpec{Stride: 1}},
+		{2, 3, tensor.ConvSpec{Stride: 2, Pad: 1}},
+		{3, 1, tensor.ConvSpec{Stride: 1, Pad: 1}},
+	} {
+		const c, n, h, wd = 2, 3, 7, 6
+		w := tensor.Randn(rng, 1, n, c, tc.kh, tc.kw)
+		delta := tensor.Randn(rng, 1, n, tc.spec.OutSize(h, tc.kh), tc.spec.OutSize(wd, tc.kw))
+		want := tensor.ConvBackwardInput(w, delta, tc.spec, h, wd)
+		m := New(Options{})
+		if got := m.backInputOnArrays(w, delta, tc.spec, h, wd); !got.Equal(want, 1e-12) {
+			t.Errorf("%dx%d %+v: backInputOnArrays differs from tensor.ConvBackwardInput", tc.kh, tc.kw, tc.spec)
+		}
+		got := m.backInputBatch(w, []*tensor.Tensor{delta, delta}, tc.spec, h, wd)
+		for p, dx := range got {
+			if !dx.Equal(want, 1e-12) {
+				t.Errorf("%dx%d %+v: backInputBatch image %d differs from tensor.ConvBackwardInput", tc.kh, tc.kw, tc.spec, p)
+			}
+		}
+	}
+}
