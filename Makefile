@@ -77,8 +77,9 @@ chaos:
 
 # Coverage-guided fuzzing, one target at a time (go test -fuzz accepts
 # a single target per run): the /v1/simulate request path, the two
-# fixed-point invariants, and the convolution kernels against their
-# pre-rewrite references. New failing inputs land in the package's
+# fixed-point invariants, the convolution kernels against their
+# pre-rewrite references, and the framed-log decoder under the result
+# store and the job journal. New failing inputs land in the package's
 # testdata/fuzz/ directory and replay in every later `go test`.
 FUZZTIME ?= 60s
 fuzz:
@@ -86,6 +87,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzQuantizerRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/fixed/
 	$(GO) test -run '^$$' -fuzz '^FuzzBitSerialDot$$' -fuzztime $(FUZZTIME) ./internal/fixed/
 	$(GO) test -run '^$$' -fuzz '^FuzzConvKernels$$' -fuzztime $(FUZZTIME) ./internal/tensor/
+	$(GO) test -run '^$$' -fuzz '^FuzzFramelog$$' -fuzztime $(FUZZTIME) ./internal/framelog/
 
 # Observability suite under the race detector: the obs tracer itself,
 # the traced sim/sweep/serve paths (deterministic step clocks pin every

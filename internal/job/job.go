@@ -28,6 +28,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"github.com/inca-arch/inca/internal/framelog"
 )
 
 // State is a job's lifecycle state.
@@ -241,6 +243,10 @@ type Stats struct {
 	// TornRecords counts torn or corrupt journal tails truncated at
 	// open — nonzero after recovering from a crash mid-append.
 	TornRecords int64 `json:"torn_records"`
+	// IOErrors counts journal appends that failed (a disk error, or a
+	// record over the frame bound): the job table moved on, but that
+	// record is not durable.
+	IOErrors int64 `json:"io_errors"`
 	// Jobs is the total job count in the table, terminal included.
 	Jobs int `json:"jobs"`
 }
@@ -259,7 +265,7 @@ type Manager struct {
 	opt Options
 
 	mu        sync.Mutex
-	jnl       *journal // nil when running memory-only (dir == "")
+	jnl       *framelog.Log // nil when memory-only (dir == "") or closed
 	jobs      map[string]*Job
 	order     []string // submission/replay order for List
 	recovered []*Job   // non-terminal journaled jobs awaiting Start
@@ -277,6 +283,7 @@ type Manager struct {
 	cancelled atomic.Int64
 	resumed   atomic.Int64
 	torn      atomic.Int64
+	ioErrs    atomic.Int64
 
 	now func() time.Time // test clock hook; nil means time.Now
 }
@@ -296,12 +303,14 @@ func Open(dir string, opt Options) (*Manager, error) {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, fmt.Errorf("job: %w", err)
 		}
-		jnl, recs, err := openJournal(filepath.Join(dir, "journal.log"))
+		jnl, recs, torn, err := openJournal(filepath.Join(dir, "journal.log"))
 		if err != nil {
 			return nil, err
 		}
 		m.jnl = jnl
-		m.torn.Store(jnl.torn)
+		if torn {
+			m.torn.Store(1)
+		}
 		m.replay(recs)
 	}
 	// Queue capacity covers the configured depth plus one slot per
@@ -516,6 +525,7 @@ func (m *Manager) Stats() Stats {
 		Resumed:     m.resumed.Load(),
 		QueueDepth:  m.opt.QueueDepth,
 		TornRecords: m.torn.Load(),
+		IOErrors:    m.ioErrs.Load(),
 		Jobs:        jobs,
 	}
 }
@@ -537,15 +547,12 @@ func (m *Manager) Close() error {
 	m.wg.Wait()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.jnl.close()
-}
-
-// appendLocked journals one record; callers hold m.mu. A failing disk
-// degrades durability (the record is lost, the job resumes one step
-// further back) but never liveness — the in-memory table is already
-// updated, mirroring the result store's swallow-IO-errors stance.
-func (m *Manager) appendLocked(rec jrecord) {
-	_ = m.jnl.append(rec)
+	if m.jnl == nil {
+		return nil
+	}
+	err := m.jnl.Close()
+	m.jnl = nil // later appends (a Cancel after Close) become no-ops
+	return err
 }
 
 // runner is one pool goroutine: it drains the queue until the manager

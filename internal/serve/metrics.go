@@ -358,6 +358,7 @@ func writePrometheus(w io.Writer, snap Snapshot) error {
 		scalar("inca_jobs_resumed_total", "counter", "Journal-recovered jobs requeued after a restart.", jb.Resumed)
 		scalar("inca_jobs_queue_depth", "gauge", "Configured job-queue shedding bound.", jb.QueueDepth)
 		scalar("inca_jobs_journal_torn_records_total", "counter", "Torn journal tails truncated at open.", jb.TornRecords)
+		scalar("inca_jobs_journal_io_errors_total", "counter", "Journal appends that failed (disk error or a record over the frame bound).", jb.IOErrors)
 	}
 	if snap.BreakerTrips != nil {
 		scalar("inca_client_breaker_trips_total", "counter", "Dispatch-client circuit-breaker trips on this coordinator.", *snap.BreakerTrips)

@@ -51,11 +51,16 @@ func TestExportConcurrentWithTTLCompaction(t *testing.T) {
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
+	advanced := make(chan struct{})
 
-	// Writer: a fresh generation appended while exports run.
+	// Writer: a fresh generation appended while exports and compactions
+	// run. It starts once the clock has moved past the old generation's
+	// TTL: a fresh record stamped before the advance would expire with
+	// the old ones, so the count below would depend on goroutine timing.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		<-advanced
 		for i := 0; i < 64; i++ {
 			s.Put(fmt.Sprintf("new-%02d", i), testReport(fmt.Sprintf("new-%02d", i)))
 		}
@@ -105,6 +110,7 @@ func TestExportConcurrentWithTTLCompaction(t *testing.T) {
 	// Let the machinery overlap, then expire the old generation while
 	// everything is still running.
 	clock.advance(2 * time.Hour)
+	close(advanced)
 	time.Sleep(10 * time.Millisecond)
 	close(stop)
 	wg.Wait()

@@ -4,10 +4,11 @@
 // fleet has already paid for; this package makes those results durable
 // and shareable:
 //
-//   - append-only segment files (seg-NNNNNN.log) of CRC-framed JSON
-//     records, each holding one sim.Report addressed by the SHA-256 of
-//     its canonical 5-segment cell key — content addressing makes merge
-//     and dedupe trivial (equal keys produce byte-identical reports);
+//   - append-only segment files (seg-NNNNNN.log), each an
+//     internal/framelog log of JSON records, each holding one
+//     sim.Report addressed by the SHA-256 of its canonical 5-segment
+//     cell key — content addressing makes merge and dedupe trivial
+//     (equal keys produce byte-identical reports);
 //   - an in-memory index rebuilt by scanning the segments at Open, so
 //     the warm start costs one sequential read of the directory and no
 //     separate index file can desynchronize from the data;
@@ -32,12 +33,10 @@ import (
 	"bufio"
 	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -46,34 +45,16 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/inca-arch/inca/internal/framelog"
 	"github.com/inca-arch/inca/internal/sim"
 )
 
-// Segment framing. Each segment file starts with an 8-byte magic and
-// carries length-prefixed records:
-//
-//	[4B little-endian payload length][4B IEEE CRC-32 of payload][payload]
-//
-// The payload is one JSON record (see record). The CRC detects torn or
-// bit-rotted tails; the length prefix bounds reads so a corrupt length
-// cannot allocate unboundedly.
-const (
-	segMagic     = "INCASTO1"
-	recHeaderLen = 8
-	// maxRecordBytes bounds a single record's payload: a full ImageNet
-	// report is tens of KB, so 16 MiB is generous and still rejects a
-	// corrupt length prefix before it allocates gigabytes.
-	maxRecordBytes = 16 << 20
-)
+// segMagic opens every segment file; each frame's payload is one JSON
+// record (see record).
+const segMagic = "INCASTO1"
 
-// Sentinel errors.
-var (
-	// ErrClosed reports an operation on a closed store.
-	ErrClosed = errors.New("store: closed")
-	// ErrCorrupt reports an import record whose content hash does not
-	// match its key — a corrupted or tampered corpus line.
-	ErrCorrupt = errors.New("store: corrupt record")
-)
+// ErrClosed reports an operation on a closed store.
+var ErrClosed = errors.New("store: closed")
 
 // Options configures Open. The zero value is production-usable.
 type Options struct {
@@ -126,17 +107,15 @@ type record struct {
 // and when it was created (for TTL and eviction order).
 type indexEntry struct {
 	seg     int   // segment ID
-	off     int64 // record start (the length prefix)
-	size    int64 // full framed size: header + payload
+	off     int64 // frame offset in the segment
+	n       int   // payload length
 	created int64 // unix nanos
 }
 
 // segment is one open segment file.
 type segment struct {
-	id   int
-	path string
-	f    *os.File
-	size int64
+	id  int
+	log *framelog.Log
 }
 
 // Stats is a point-in-time snapshot of a store's counters and footprint,
@@ -223,124 +202,52 @@ func Open(dir string, opt Options) (*Store, error) {
 	// compaction survivor) wins over any earlier copy of the same key.
 	sort.Ints(ids)
 	for _, id := range ids {
+		// A zero-length segment is a crash between creating the file and
+		// writing its magic; framelog starts it afresh without calling it
+		// torn, so the store counts it here.
+		if fi, err := os.Stat(s.segPath(id)); err == nil && fi.Size() == 0 {
+			s.torn.Add(1)
+		}
 		seg, err := s.openSegment(id)
 		if err != nil {
 			s.closeLocked()
 			return nil, err
 		}
-		s.segs[id] = seg
-		if id >= s.nextID {
-			s.nextID = id + 1
-		}
-	}
-	if len(ids) > 0 {
-		s.active = s.segs[ids[len(ids)-1]]
+		s.active = seg
 	}
 	return s, nil
 }
 
-// openSegment opens one segment file and indexes its records, truncating
-// a torn or corrupt tail to the last cleanly-framed record.
+// openSegment opens segment id, creating it when absent, and indexes its
+// records. A torn or corrupt tail, or a record that does not decode, is
+// truncated away and counted.
 func (s *Store) openSegment(id int) (*segment, error) {
-	path := s.segPath(id)
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	good, err := s.scanSegment(id, f)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	fi, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	if good < fi.Size() {
-		// Crash recovery: everything past the last good record is a torn
-		// append. Drop it so the file is clean for future appends.
-		s.torn.Add(1)
-		if err := f.Truncate(good); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("store: truncating torn tail of %s: %w", path, err)
-		}
-	}
-	return &segment{id: id, path: path, f: f, size: good}, nil
-}
-
-// scanSegment walks a segment's records, indexing each good one, and
-// returns the offset of the first byte that is not part of a cleanly
-// framed record (the truncation point for a torn tail).
-func (s *Store) scanSegment(id int, f *os.File) (int64, error) {
-	r := bufio.NewReader(io.NewSectionReader(f, 0, 1<<62))
-	magic := make([]byte, len(segMagic))
-	if _, err := io.ReadFull(r, magic); err != nil || string(magic) != segMagic {
-		// A file too short for the magic, or with the wrong one, holds no
-		// recoverable records; reinitialize it as an empty segment.
-		s.torn.Add(1)
-		return int64(len(segMagic)), s.writeMagic(f)
-	}
-	off := int64(len(segMagic))
-	header := make([]byte, recHeaderLen)
-	for {
-		if _, err := io.ReadFull(r, header); err != nil {
-			return off, nil // clean EOF or torn header: truncate here
-		}
-		n := binary.LittleEndian.Uint32(header[:4])
-		sum := binary.LittleEndian.Uint32(header[4:])
-		if n == 0 || n > maxRecordBytes {
-			return off, nil // corrupt length: everything past here is suspect
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return off, nil // torn payload
-		}
-		if crc32.ChecksumIEEE(payload) != sum {
-			return off, nil // bit rot or torn write caught by the CRC
-		}
+	log, torn, err := framelog.Open(s.segPath(id), segMagic, func(off int64, payload []byte) bool {
 		var rec record
 		if err := json.Unmarshal(payload, &rec); err != nil || rec.Key == "" {
-			return off, nil // framed but undecodable: stop, do not index
+			return false // framed but undecodable: stop, do not index
 		}
 		a := addr(rec.Key)
-		s.index[a] = indexEntry{seg: id, off: off, size: recHeaderLen + int64(n), created: rec.Created}
+		s.index[a] = indexEntry{seg: id, off: off, n: len(payload), created: rec.Created}
 		s.keys[a] = rec.Key
-		off += recHeaderLen + int64(n)
+		return true
+	})
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
 	}
-}
-
-// writeMagic initializes an empty or unrecognizable segment file.
-func (s *Store) writeMagic(f *os.File) error {
-	if err := f.Truncate(0); err != nil {
-		return fmt.Errorf("store: %w", err)
+	if torn {
+		s.torn.Add(1)
 	}
-	if _, err := f.WriteAt([]byte(segMagic), 0); err != nil {
-		return fmt.Errorf("store: %w", err)
+	seg := &segment{id: id, log: log}
+	s.segs[id] = seg
+	if id >= s.nextID {
+		s.nextID = id + 1
 	}
-	return nil
+	return seg, nil
 }
 
 func (s *Store) segPath(id int) string {
 	return filepath.Join(s.dir, fmt.Sprintf("seg-%06d.log", id))
-}
-
-// newSegment creates and opens the next segment file.
-func (s *Store) newSegment() (*segment, error) {
-	id := s.nextID
-	s.nextID++
-	path := s.segPath(id)
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	if _, err := f.Write([]byte(segMagic)); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	seg := &segment{id: id, path: path, f: f, size: int64(len(segMagic))}
-	s.segs[id] = seg
-	return seg, nil
 }
 
 // Get returns the stored report for the canonical cell key, or false on
@@ -372,7 +279,11 @@ func (s *Store) Get(key string) (*sim.Report, bool) {
 		s.misses.Add(1)
 		return nil, false
 	}
-	rec, err := readRecord(seg.f, e.off, e.size)
+	var rec record
+	payload, err := seg.log.ReadAt(e.off, e.n)
+	if err == nil {
+		err = json.Unmarshal(payload, &rec)
+	}
 	if err != nil || rec.Key != key {
 		s.ioErrs.Add(1)
 		s.misses.Add(1)
@@ -392,34 +303,6 @@ func (s *Store) Get(key string) (*sim.Report, bool) {
 // timestamp is past the store's TTL at time now.
 func (s *Store) expiredAt(created int64, now time.Time) bool {
 	return s.opt.TTL > 0 && now.Sub(time.Unix(0, created)) > s.opt.TTL
-}
-
-// readPayload reads and CRC-verifies one framed record at the given
-// location, returning the raw JSON payload bytes.
-func readPayload(f *os.File, off, size int64) ([]byte, error) {
-	buf := make([]byte, size)
-	if _, err := f.ReadAt(buf, off); err != nil {
-		return nil, err
-	}
-	n := binary.LittleEndian.Uint32(buf[:4])
-	sum := binary.LittleEndian.Uint32(buf[4:8])
-	if int64(n)+recHeaderLen != size || crc32.ChecksumIEEE(buf[recHeaderLen:]) != sum {
-		return nil, ErrCorrupt
-	}
-	return buf[recHeaderLen:], nil
-}
-
-// readRecord reads, verifies, and decodes one framed record.
-func readRecord(f *os.File, off, size int64) (record, error) {
-	var rec record
-	payload, err := readPayload(f, off, size)
-	if err != nil {
-		return rec, err
-	}
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return rec, err
-	}
-	return rec, nil
 }
 
 // Put stores the report under the canonical cell key, overwriting any
@@ -460,40 +343,29 @@ func (s *Store) Put(key string, rep *sim.Report) {
 	}
 }
 
-// appendLocked frames and appends one payload to the active segment,
-// rolling to a fresh segment first when the active one is full.
+// appendLocked appends one payload to the active segment, rolling to a
+// fresh segment first when the active one is full.
 func (s *Store) appendLocked(a, key string, payload []byte, created int64) error {
-	if s.active == nil || s.active.size+recHeaderLen+int64(len(payload)) > s.opt.SegmentMaxBytes {
-		seg, err := s.newSegment()
+	if s.active == nil || s.active.log.Size()+framelog.FrameSize(len(payload)) > s.opt.SegmentMaxBytes {
+		seg, err := s.openSegment(s.nextID)
 		if err != nil {
 			return err
 		}
 		s.active = seg
 	}
-	seg := s.active
-	framed := frame(payload)
-	if _, err := seg.f.WriteAt(framed, seg.size); err != nil {
+	off, err := s.active.log.Append(payload)
+	if err != nil {
 		return err
 	}
-	s.index[a] = indexEntry{seg: seg.id, off: seg.size, size: int64(len(framed)), created: created}
+	s.index[a] = indexEntry{seg: s.active.id, off: off, n: len(payload), created: created}
 	s.keys[a] = key
-	seg.size += int64(len(framed))
 	return nil
-}
-
-// frame prefixes a payload with its length and CRC.
-func frame(payload []byte) []byte {
-	out := make([]byte, recHeaderLen+len(payload))
-	binary.LittleEndian.PutUint32(out[:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(out[4:8], crc32.ChecksumIEEE(payload))
-	copy(out[recHeaderLen:], payload)
-	return out
 }
 
 func (s *Store) totalBytesLocked() int64 {
 	var n int64
 	for _, seg := range s.segs {
-		n += seg.size
+		n += seg.log.Size()
 	}
 	return n
 }
@@ -524,7 +396,7 @@ func (s *Store) compactLocked() error {
 		if seg == nil {
 			continue
 		}
-		payload, err := readPayload(seg.f, e.off, e.size)
+		payload, err := seg.log.ReadAt(e.off, e.n)
 		if err != nil {
 			s.ioErrs.Add(1)
 			continue
@@ -537,11 +409,11 @@ func (s *Store) compactLocked() error {
 	budget := s.opt.MaxBytes * 9 / 10
 	var total int64
 	for _, sv := range survivors {
-		total += recHeaderLen + int64(len(sv.payload))
+		total += framelog.FrameSize(len(sv.payload))
 	}
 	drop := 0
 	for drop < len(survivors) && total > budget {
-		total -= recHeaderLen + int64(len(survivors[drop].payload))
+		total -= framelog.FrameSize(len(survivors[drop].payload))
 		s.evicted.Add(1)
 		drop++
 	}
@@ -558,8 +430,8 @@ func (s *Store) compactLocked() error {
 		}
 	}
 	for _, seg := range old {
-		seg.f.Close()
-		os.Remove(seg.path)
+		seg.log.Close()
+		os.Remove(s.segPath(seg.id))
 	}
 	return nil
 }
@@ -644,7 +516,7 @@ func (s *Store) Export(w io.Writer) (int, error) {
 	for _, l := range locs {
 		// The stored payload is already one compact JSON object with no
 		// embedded newlines — it is the corpus line verbatim.
-		payload, err := readPayload(l.seg.f, l.e.off, l.e.size)
+		payload, err := l.seg.log.ReadAt(l.e.off, l.e.n)
 		if err != nil {
 			s.ioErrs.Add(1)
 			continue
@@ -673,11 +545,12 @@ type ImportResult struct {
 // for unknown keys are appended, records for keys the store already
 // holds are skipped (the local copy wins — equal keys mean byte-
 // identical reports, so there is nothing to reconcile), and records
-// whose content address does not match their key are rejected. Lines
+// whose content address does not match their key, or whose stored form
+// exceeds the 16 MiB frame bound, are rejected. Lines
 // longer than maxLineBytes (<= 0 means 16 MiB) fail the import.
 func (s *Store) Import(r io.Reader, maxLineBytes int) (ImportResult, error) {
 	if maxLineBytes <= 0 {
-		maxLineBytes = maxRecordBytes
+		maxLineBytes = framelog.MaxPayload
 	}
 	var res ImportResult
 	sc := bufio.NewScanner(r)
@@ -749,7 +622,7 @@ func (s *Store) closeLocked() error {
 	s.closed = true
 	var first error
 	for _, seg := range s.segs {
-		if err := seg.f.Close(); err != nil && first == nil {
+		if err := seg.log.Close(); err != nil && first == nil {
 			first = err
 		}
 	}

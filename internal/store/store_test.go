@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -62,6 +63,9 @@ func TestPutGetSurvivesReopen(t *testing.T) {
 	}
 }
 
+// TestTornTailTruncatedNotFatal is the store's wiring of a torn segment
+// tail (internal/framelog checks every cut point): the drop reaches
+// Stats and the surviving records keep serving.
 func TestTornTailTruncatedNotFatal(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, Options{})
@@ -88,21 +92,17 @@ func TestTornTailTruncatedNotFatal(t *testing.T) {
 	if st := s2.Stats(); st.Entries != 2 || st.TornRecords != 1 {
 		t.Fatalf("after torn tail: %+v, want 2 entries and 1 torn record", st)
 	}
-	// The surviving prefix keeps serving, and the file is clean again:
-	// a fresh Put lands and survives another reopen.
 	for i := 0; i < 2; i++ {
 		if _, ok := s2.Get(fmt.Sprintf("INCA/fixed/net-%d/inference", i)); !ok {
 			t.Fatalf("surviving record net-%d lost", i)
 		}
 	}
-	s2.Put("INCA/fixed/net-2/inference", testReport("net-2"))
-	s2.Close()
-	s3 := mustOpen(t, dir, Options{})
-	if n := s3.Len(); n != 3 {
-		t.Fatalf("after repair and re-put: %d entries, want 3", n)
-	}
 }
 
+// TestBadMagicReinitializes counts both unrecognizable segments as torn:
+// one with a foreign magic, and a zero-length one (a crash between
+// creating a segment and writing its magic), which framelog alone would
+// treat as new.
 func TestBadMagicReinitializes(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, Options{})
@@ -112,16 +112,38 @@ func TestBadMagicReinitializes(t *testing.T) {
 	if err := os.WriteFile(segs[0], []byte("NOTASTORE-garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	if err := os.WriteFile(filepath.Join(dir, "seg-000001.log"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	s2 := mustOpen(t, dir, Options{})
-	if n := s2.Len(); n != 0 {
-		t.Fatalf("garbage segment indexed %d records", n)
+	if st := s2.Stats(); st.Entries != 0 || st.TornRecords != 2 {
+		t.Fatalf("stats = %+v, want no entries and 2 torn records", st)
 	}
-	if st := s2.Stats(); st.TornRecords != 1 {
-		t.Fatalf("stats = %+v, want 1 torn record", st)
+}
+
+// TestOversizeRecordRejectedNotTorn pins the write-side frame bound. A
+// corpus line of `<` under the 16 MiB line limit re-encodes to a record
+// over it (json.Marshal writes `<` as \u003c), and a report as large
+// fails to Put: both are refused at write time, so the next Open finds
+// a clean store instead of truncating the record as a torn tail.
+func TestOversizeRecordRejectedNotTorn(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, Options{})
+	line := `{"key":"big","created_unix_nano":1,"report":{"network":"` + strings.Repeat("<", 3<<20) + `"}}`
+	res, err := s.Import(strings.NewReader(line), 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	s2.Put("k", testReport("k"))
-	if _, ok := s2.Get("k"); !ok {
-		t.Fatal("reinitialized segment does not accept puts")
+	if res.Rejected != 1 || res.Added != 0 {
+		t.Fatalf("import = %+v, want the oversize record rejected", res)
+	}
+	s.Put("huge", testReport(strings.Repeat("n", 17<<20)))
+	if st := s.Stats(); st.IOErrors != 2 || st.Puts != 0 || st.Entries != 0 {
+		t.Fatalf("stats = %+v, want 2 io errors and nothing stored", st)
+	}
+	s.Close()
+	if st := mustOpen(t, dir, Options{}).Stats(); st.TornRecords != 0 || st.Entries != 0 {
+		t.Fatalf("reopen stats = %+v, want no torn records", st)
 	}
 }
 

@@ -25,6 +25,8 @@ $GO build -o "$tmp/inca-serve" ./cmd/inca-serve
 boot() {
     name=$1
     shift
+    : >"$tmp/$name.out"
+    : >"$tmp/$name.err"
     "$tmp/inca-serve" -addr 127.0.0.1:0 -quiet "$@" \
         >"$tmp/$name.out" 2>"$tmp/$name.err" &
     eval "pid_$name=$!"

@@ -29,6 +29,8 @@ $GO build -o "$tmp/inca-client" ./cmd/inca-client
 boot() {
     name=$1
     shift
+    : >"$tmp/$name.out"
+    : >"$tmp/$name.err"
     "$tmp/inca-serve" -addr 127.0.0.1:0 "$@" \
         >"$tmp/$name.out" 2>"$tmp/$name.err" &
     eval "pid_$name=$!"

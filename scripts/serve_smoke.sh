@@ -17,6 +17,7 @@ cleanup() {
 trap cleanup EXIT INT TERM
 
 $GO build -o "$tmp/inca-serve" ./cmd/inca-serve
+: >"$tmp/out"
 # A wide coalescing window so the back-to-back repeat below reliably
 # joins the first request's flight even on a slow CI runner.
 "$tmp/inca-serve" -addr 127.0.0.1:0 -quiet -coalesce-wait 2s >"$tmp/out" 2>"$tmp/err" &
